@@ -21,6 +21,8 @@ from typing import Callable
 from repro.nvme.wrr import TokenWRR
 from repro.workloads.request import IORequest, OpType
 
+_READ = OpType.READ
+
 
 class SSQDriver:
     """Separate read/write submission queues with weighted fetch."""
@@ -52,6 +54,9 @@ class SSQDriver:
         # bucket -> [queue, refcount]: which SQ holds waiting requests
         # touching this address bucket, and how many.
         self._pending_buckets: dict[int, list] = {}
+        #: ``(queue_depth, read_slots, write_slots)`` of the last fetch;
+        #: :meth:`set_weights` clears it.
+        self._slots: tuple[int, int, int] | None = None
 
     def connect(self, device) -> None:
         """Bind to a device; submissions will ring its doorbell."""
@@ -65,6 +70,7 @@ class SSQDriver:
     # -- weight control (SRC's knob) -----------------------------------------
     def set_weights(self, read_weight: int, write_weight: int, *, now_ns: int = 0) -> None:
         self.wrr.set_weights(read_weight, write_weight)
+        self._slots = None  # the QD partition follows the weights
         self.weight_log.append((now_ns, read_weight, write_weight))
         # A weight change can unblock fetch immediately (e.g. a larger
         # write partition); let the device re-evaluate.
@@ -80,56 +86,65 @@ class SSQDriver:
         """Enqueue with the consistency check, then ring the doorbell."""
         if now_ns is not None:
             request.submit_ns = now_ns
-        natural = self.rsq if request.is_read else self.wsq
-        target = self._consistency_queue(request) if self.consistency_check else None
-        if target is None:
-            target = natural
-        elif target is not natural:
-            self.consistency_redirects += 1
+        target = self.rsq if request.op is _READ else self.wsq
         if self.consistency_check:
-            self._index_buckets(request, target)
+            target = self._index_request(request, target)
         target.append(request)
         self.submitted += 1
         if self._doorbell is not None:
             self._doorbell()
 
-    def _buckets_of(self, request: IORequest) -> range:
-        start = (request.lba * 512) // self.DEPENDENCY_BUCKET_BYTES
-        end = (request.lba * 512 + request.size_bytes - 1) // self.DEPENDENCY_BUCKET_BYTES
-        return range(start, end + 1)
+    def _index_request(
+        self, request: IORequest, natural: deque[IORequest]
+    ) -> deque[IORequest]:
+        """Consistency check and bucket indexing in one pass.
 
-    def _consistency_queue(self, request: IORequest) -> deque[IORequest] | None:
-        """The SQ holding a waiting request that overlaps ``request``.
-
+        Returns the SQ ``request`` must join: the queue of the first
+        waiting request whose bucket it overlaps, else ``natural``.
         Overlap is tracked at :data:`DEPENDENCY_BUCKET_BYTES` granularity
-        through an index updated on submit/fetch, so the check is O(pages
-        touched) instead of a queue scan.  Returns None when no
-        dependency is waiting.
+        through an index updated on submit/fetch, so the check is
+        O(pages touched) instead of a queue scan.  Buckets already
+        indexed gain a reference (later requests to a bucket follow the
+        same queue, so repointing is unnecessary); new buckets are
+        indexed under the chosen queue.
         """
-        for bucket in self._buckets_of(request):
-            entry = self._pending_buckets.get(bucket)
-            if entry is not None:
-                return entry[0]
-        return None
-
-    def _index_buckets(self, request: IORequest, queue: deque[IORequest]) -> None:
-        for bucket in self._buckets_of(request):
-            entry = self._pending_buckets.get(bucket)
+        pending = self._pending_buckets
+        first = request.lba * 512
+        width = self.DEPENDENCY_BUCKET_BYTES
+        buckets = range(first // width, (first + request.size_bytes - 1) // width + 1)
+        if pending.keys().isdisjoint(buckets):
+            # No dependency waiting (the common case).
+            for bucket in buckets:
+                pending[bucket] = [natural, 1]
+            return natural
+        target = None
+        fresh = []
+        for bucket in buckets:
+            entry = pending.get(bucket)
             if entry is None:
-                self._pending_buckets[bucket] = [queue, 1]
+                fresh.append(bucket)
             else:
-                # Later requests to this bucket follow the same queue, so
-                # repointing is unnecessary; just bump the refcount.
+                if target is None:
+                    target = entry[0]
                 entry[1] += 1
+        if target is not natural:
+            self.consistency_redirects += 1
+        for bucket in fresh:
+            pending[bucket] = [target, 1]
+        return target
 
     def _unindex_buckets(self, request: IORequest) -> None:
-        for bucket in self._buckets_of(request):
-            entry = self._pending_buckets.get(bucket)
+        pending = self._pending_buckets
+        first = request.lba * 512
+        width = self.DEPENDENCY_BUCKET_BYTES
+        for bucket in range(first // width, (first + request.size_bytes - 1) // width + 1):
+            entry = pending.get(bucket)
             if entry is None:
                 continue
-            entry[1] -= 1
-            if entry[1] <= 0:
-                del self._pending_buckets[bucket]
+            if entry[1] > 1:
+                entry[1] -= 1
+            else:
+                del pending[bucket]
 
     # -- device side (SubmissionSource) -----------------------------------------
     def has_pending(self) -> bool:
@@ -153,36 +168,33 @@ class SSQDriver:
         # partition guarantees each class its own slots so a class whose
         # completions are back-pressured (reads under congestion) can
         # never occupy the whole device.
-        choice = self.wrr.choose(bool(self.rsq), bool(self.wsq))
-        if choice is None:
+        rsq = self.rsq
+        wsq = self.wsq
+        if rsq and wsq:
+            # Tokens move only when both queues compete for the turn.
+            both = True
+            queue = rsq if self.wrr.choose(True, True) is _READ else wsq
+        elif rsq or wsq:
+            both = False
+            queue = rsq or wsq
+        else:
             return None
-        both = bool(self.rsq) and bool(self.wsq)
-        queue = self.rsq if choice is OpType.READ else self.wsq
         head = queue[0]
-        read_slots, write_slots = self._partition(queue_depth)
-        if not self._head_eligible(
-            head, inflight_reads, inflight_writes, read_slots, write_slots
-        ):
+        slots = self._slots
+        if slots is None or slots[0] != queue_depth:
+            slots = self._slots = (queue_depth, *self._partition(queue_depth))
+        if head.op is _READ:
+            if inflight_reads >= slots[1]:
+                return None
+        elif inflight_writes >= slots[2]:
             return None
         queue.popleft()
-        self._unindex_buckets(head)
-        # Tokens move only when both queues competed for the turn.
+        if self.consistency_check:
+            self._unindex_buckets(head)
         if both:
             self.wrr.consume(head.op)
         self.fetched += 1
         return head
-
-    @staticmethod
-    def _head_eligible(
-        head: IORequest,
-        inflight_reads: int,
-        inflight_writes: int,
-        read_slots: int,
-        write_slots: int,
-    ) -> bool:
-        if head.is_read:
-            return inflight_reads < read_slots
-        return inflight_writes < write_slots
 
     # -- introspection ----------------------------------------------------------
     def queued(self) -> int:

@@ -27,10 +27,15 @@ from repro.ssd.flash import FlashBackend
 from repro.ssd.ftl import FTL
 from repro.ssd.transactions import PageTransaction, TxnKind
 from repro.ssd.write_cache import WriteCache
-from repro.workloads.request import IORequest
+from repro.workloads.request import IORequest, OpType
 
 if TYPE_CHECKING:
     from repro.core.units import Nanoseconds, PageCount
+
+_READ = OpType.READ
+_TXN_READ = TxnKind.READ
+_TXN_MAPPING_READ = TxnKind.MAPPING_READ
+_TXN_PROGRAM = TxnKind.PROGRAM
 
 
 class SubmissionSource(Protocol):
@@ -105,6 +110,8 @@ class _Inflight:
     pages_outstanding: PageCount
     cache_reserved: int = 0
     completed: bool = field(default=False)
+    #: Logical pages a write command covers (computed once at fetch).
+    lpns: range = range(0)
 
 
 class SSDController:
@@ -136,6 +143,20 @@ class SSDController:
         self.commands_completed = 0
         #: Write-back programs that failed after the host was acked.
         self.background_write_failures = 0
+        # -- constants of the configuration, computed once ---------------
+        self._queue_depth = config.queue_depth
+        self._cq_capacity = config.cq_capacity
+        self._page_bytes = config.page_bytes
+        self._transfer_ns = config.page_transfer_ns
+        self._write_back = config.write_cache_policy == "write_back"
+        self._mapping_reads = config.mapping_read_penalty
+        # -- per-transaction completion callbacks, bound once ------------
+        # Each transaction names its command (or, for a mapping read,
+        # the data read it gates) in ``owner``, so one bound method per
+        # kind replaces a ``functools.partial`` per page.
+        self._page_done_cb = self._page_txn_done
+        self._write_page_done_cb = self._write_page_done
+        self._mapping_done_cb = self._mapping_done
 
     # -- wiring -----------------------------------------------------------
     def attach_driver(self, driver: SubmissionSource) -> None:
@@ -152,63 +173,59 @@ class SSDController:
 
     def kick(self) -> None:
         """Fetch commands while slots are free and the driver has work."""
-        if self.driver is None:
+        driver = self.driver
+        if driver is None:
             return
-        while self.slots_used < self.config.queue_depth:
-            req = self.driver.fetch(
-                self.inflight_reads, self.inflight_writes, self.config.queue_depth
-            )
+        fetch = driver.fetch
+        queue_depth = self._queue_depth
+        while self.inflight_reads + self.inflight_writes < queue_depth:
+            req = fetch(self.inflight_reads, self.inflight_writes, queue_depth)
             if req is None:
                 break
-            self._start_command(req)
-
-    def _start_command(self, req: IORequest) -> None:
-        req.fetch_ns = self.sim.now
-        self.commands_fetched += 1
-        if req.is_read:
-            self.inflight_reads += 1
-            self._start_read(req)
-        else:
-            self.inflight_writes += 1
-            self._start_write(req)
+            req.fetch_ns = self.sim.now
+            self.commands_fetched += 1
+            if req.op is _READ:
+                self.inflight_reads += 1
+                self._start_read(req)
+            else:
+                self.inflight_writes += 1
+                self._start_write(req)
 
     # -- reads ----------------------------------------------------------
     def _start_read(self, req: IORequest) -> None:
-        lpns = list(self.ftl.lpn_range(req.lba, req.size_bytes))
-        cmd = _Inflight(request=req, pages_outstanding=len(lpns))
+        ftl = self.ftl
+        lpns = ftl.lpn_range(req.lba, req.size_bytes)
+        cmd = _Inflight(req, len(lpns))
+        read_hit = self.cache.read_hit
+        chip_for_read = ftl.chip_for_read
+        cmt_lookup = ftl.cmt.lookup
+        submit = self.backend.submit
+        page_bytes = self._page_bytes
         for lpn in lpns:
-            if self.cache.read_hit(lpn):
+            if read_hit(lpn):
                 # Served from the write cache at DRAM speed; one page
                 # transfer time stands in for the cache copy-out.
-                self.sim.schedule(self.config.page_transfer_ns, self._page_done, cmd)
+                self.sim.schedule_anon(self._transfer_ns, self._page_done, cmd)
                 continue
-            chip = self.ftl.chip_for_read(lpn)
-            hit = self.ftl.cmt.lookup(lpn)
-            data_txn = PageTransaction(
-                kind=TxnKind.READ,
-                chip_index=chip,
-                page_bytes=self.config.page_bytes,
-                owner=cmd,
-                on_done=partial(self._page_done, cmd),
-            )
-            if not hit and self.config.mapping_read_penalty:
-                # The translation itself must be read from flash first.
-                mapping_txn = PageTransaction(
-                    kind=TxnKind.MAPPING_READ,
-                    chip_index=chip,
-                    page_bytes=self.config.page_bytes,
-                    owner=cmd,
-                    on_done=partial(self._mapping_done, data_txn, cmd),
+            chip = chip_for_read(lpn)
+            hit = cmt_lookup(lpn)
+            data_txn = PageTransaction(_TXN_READ, chip, page_bytes, cmd, self._page_done_cb)
+            if not hit and self._mapping_reads:
+                # The translation itself must be read from flash first;
+                # the data read is submitted when it completes.
+                submit(
+                    PageTransaction(
+                        _TXN_MAPPING_READ, chip, page_bytes, data_txn, self._mapping_done_cb
+                    )
                 )
-                self.backend.submit(mapping_txn)
             else:
-                self.backend.submit(data_txn)
+                submit(data_txn)
 
     # -- writes ----------------------------------------------------------
     def _start_write(self, req: IORequest) -> None:
-        lpns = list(self.ftl.lpn_range(req.lba, req.size_bytes))
-        stage_bytes = len(lpns) * self.config.page_bytes
-        cmd = _Inflight(request=req, pages_outstanding=len(lpns), cache_reserved=stage_bytes)
+        lpns = self.ftl.lpn_range(req.lba, req.size_bytes)
+        stage_bytes = len(lpns) * self._page_bytes
+        cmd = _Inflight(req, len(lpns), stage_bytes, lpns=lpns)
         if not self.cache.can_reserve(stage_bytes):
             # Fetched but unadmittable: the command holds its slot until
             # flushes free staging space (realistic full-cache stall).
@@ -218,34 +235,35 @@ class SSDController:
 
     def _admit_write(self, cmd: _Inflight) -> None:
         self.cache.reserve(cmd.cache_reserved)
-        req = cmd.request
-        lpns = list(self.ftl.lpn_range(req.lba, req.size_bytes))
-        write_back = self.config.write_cache_policy == "write_back"
-        if write_back:
+        lpns = cmd.lpns
+        if self._write_back:
             # Completion at cache speed: data is staged (one page-transfer
             # per page, pipelined => dominated by the last page), flash
             # programs drain in the background.
-            staging = self.config.page_transfer_ns * len(lpns)
-            self.sim.schedule(staging, self._complete_command, cmd)
+            staging = self._transfer_ns * len(lpns)
+            self.sim.schedule_anon(staging, self._complete_command, cmd)
+        ftl = self.ftl
+        note_write = self.cache.note_write
+        allocate_write = ftl.allocate_write
+        cmt_lookup = ftl.cmt.lookup
+        gc_needed = ftl.gc_needed
+        submit = self.backend.submit
+        page_bytes = self._page_bytes
         for lpn in lpns:
-            self.cache.note_write(lpn)
-            chip = self.ftl.allocate_write(lpn)
-            self.ftl.cmt.lookup(lpn)  # writes touch the mapping too
-            txn = PageTransaction(
-                kind=TxnKind.PROGRAM,
-                chip_index=chip,
-                page_bytes=self.config.page_bytes,
-                owner=cmd,
-                on_done=partial(self._write_page_done, cmd),
-            )
-            self.backend.submit(txn)
-            self._maybe_gc(chip)
+            note_write(lpn)
+            chip = allocate_write(lpn)
+            cmt_lookup(lpn)  # writes touch the mapping too
+            submit(PageTransaction(_TXN_PROGRAM, chip, page_bytes, cmd, self._write_page_done_cb))
+            if gc_needed(chip):
+                self._maybe_gc(chip)
 
-    def _write_page_done(self, cmd: _Inflight, txn: PageTransaction | None = None) -> None:
-        self.cache.release(self.config.page_bytes)
-        cmd.cache_reserved -= self.config.page_bytes
-        self._retry_stalled_writes()
-        if txn is not None and txn.failed:
+    def _write_page_done(self, txn: PageTransaction) -> None:
+        cmd = txn.owner
+        self.cache.release(self._page_bytes)
+        cmd.cache_reserved -= self._page_bytes
+        if self._stalled_writes:
+            self._retry_stalled_writes()
+        if txn.failed:
             if cmd.completed:
                 # write_back already acked the host at staging time; the
                 # background program failed silently (counted, like a
@@ -253,7 +271,7 @@ class SSDController:
                 self.background_write_failures += 1
             else:
                 cmd.request.error = "media"
-        if self.config.write_cache_policy == "write_through":
+        if not self._write_back:
             self._page_done(cmd)
         # write_back: command already completed at staging time; the
         # program only frees cache space.
@@ -264,19 +282,27 @@ class SSDController:
         ):
             self._admit_write(self._stalled_writes.popleft())
 
-    def _mapping_done(
-        self, data_txn: PageTransaction, cmd: _Inflight, txn: PageTransaction
-    ) -> None:
-        """A mapping read finished; chain the data read unless it errored."""
+    def _mapping_done(self, txn: PageTransaction) -> None:
+        """A mapping read finished; chain its data read unless it errored."""
+        data_txn = txn.owner
         if txn.failed:
+            cmd = data_txn.owner
             cmd.request.error = "media"
             self._page_done(cmd)
         else:
             self.backend.submit(data_txn)
 
     # -- completion ------------------------------------------------------
-    def _page_done(self, cmd: _Inflight, txn: PageTransaction | None = None) -> None:
-        if txn is not None and txn.failed:
+    def _page_done(self, cmd: _Inflight) -> None:
+        """One page of ``cmd`` resolved (a cache hit or an errored page)."""
+        cmd.pages_outstanding -= 1
+        if cmd.pages_outstanding == 0 and not cmd.completed:
+            self._complete_command(cmd)
+
+    def _page_txn_done(self, txn: PageTransaction) -> None:
+        """A data read finished at the backend (``txn.owner`` is its command)."""
+        cmd = txn.owner
+        if txn.failed:
             # The command still waits for its other pages; it completes
             # once all of them resolve, carrying the error status.
             cmd.request.error = "media"
@@ -289,21 +315,22 @@ class SSDController:
             return
         cmd.completed = True
         cmd.request.device_done_ns = self.sim.now
-        if len(self.cq) < self.config.cq_capacity:
+        if len(self.cq) < self._cq_capacity:
             self._post_completion(cmd)
         else:
             self._pending_cq.append(cmd)
 
     def _post_completion(self, cmd: _Inflight) -> None:
         req = cmd.request
-        entry = CompletionEntry(request=req, posted_ns=self.sim.now)
+        now = self.sim.now
+        entry = CompletionEntry(req, now)
         self.cq.append(entry)
-        if req.is_read:
+        if req.op is _READ:
             self.inflight_reads -= 1
         else:
             self.inflight_writes -= 1
         self.commands_completed += 1
-        self.completion_log.append((self.sim.now, req))
+        self.completion_log.append((now, req))
         if self.cq_listener is not None:
             self.cq_listener(entry)
         self.kick()
@@ -319,10 +346,9 @@ class SSDController:
 
     # -- garbage collection ------------------------------------------------
     def _maybe_gc(self, chip_index: int) -> None:
+        """Start GC on a chip whose free blocks fell below the watermark."""
         if self.backend.is_chip_failed(chip_index):
             return  # no point compacting a dead die
-        if not self.ftl.gc_needed(chip_index):
-            return
         victim = self.ftl.begin_gc(chip_index)
         if victim is None:
             return

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from repro.core.units import Nanoseconds
 
 
-@dataclass
+@dataclass(slots=True)
 class _Server:
     """A FIFO resource (one channel)."""
 
@@ -36,7 +36,7 @@ class _Server:
     busy_ns_total: Nanoseconds = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Chip:
     """A chip with separate read/write service queues.
 
@@ -56,22 +56,17 @@ class _Chip:
     def pending(self) -> int:
         return len(self.read_queue) + len(self.write_queue)
 
-    def next_item(self):
-        """Pop the next transaction, alternating classes when both wait."""
-        if self.read_queue and self.write_queue:
-            use_read = not self.last_was_read
-        elif self.read_queue:
-            use_read = True
-        elif self.write_queue:
-            use_read = False
-        else:
-            return None
-        self.last_was_read = use_read
-        return (self.read_queue if use_read else self.write_queue).popleft()
-
 
 class FlashBackend:
-    """Event-driven channels × chips flash array."""
+    """Event-driven channels × chips flash array.
+
+    Every stage event is scheduled anonymously: nothing ever cancels a
+    chip or channel service, so no :class:`~repro.sim.events.Event`
+    handle is needed.  The stage a transaction moves to next follows
+    from its kind (read-like: chip → channel → finish; program-like:
+    channel → chip → finish; erase: chip → finish), so queues hold bare
+    transactions.
+    """
 
     def __init__(self, sim: Simulator, config: SSDConfig) -> None:
         self.sim = sim
@@ -79,8 +74,23 @@ class FlashBackend:
         self._chips = [_Chip() for _ in range(config.n_chips)]
         self._channels = [_Server() for _ in range(config.n_channels)]
         self.completed: int = 0
+        # -- constants of the configuration, computed once ---------------
+        self._n_chips = config.n_chips
+        #: chip index -> channel index.
+        self._chip_channel = [
+            i // config.chips_per_channel for i in range(config.n_chips)
+        ]
+        #: Chip-stage latency by ``TxnKind.chip_op`` (sense, program, erase).
+        self._chip_ns = (
+            config.read_latency_ns,
+            config.write_latency_ns,
+            config.erase_latency_ns,
+        )
+        #: Channel occupancy of one page (partial pages use a full slot).
+        self._transfer_ns = config.page_transfer_ns
         # -- fault-injection state (all empty by default; the hot path
         # pays one truthiness check per stage when nothing is injected).
+        # Multipliers are read when a service *starts*, never at enqueue.
         #: Dead dies: submissions fail fast with an error status.
         self._failed_chips: set[int] = set()
         #: chip index -> latency multiplier (slow/worn die).
@@ -91,10 +101,13 @@ class FlashBackend:
         self.failed_fast: int = 0
 
     # -- topology helpers --------------------------------------------------
+    def _bad_chip(self, chip_index: int) -> ValueError:
+        return ValueError(f"chip index {chip_index} out of range [0, {self._n_chips})")
+
     def channel_of(self, chip_index: int) -> int:
-        if not 0 <= chip_index < self.config.n_chips:
-            raise ValueError(f"chip index {chip_index} out of range")
-        return chip_index // self.config.chips_per_channel
+        if not 0 <= chip_index < self._n_chips:
+            raise self._bad_chip(chip_index)
+        return self._chip_channel[chip_index]
 
     # -- fault injection ---------------------------------------------------
     def is_chip_failed(self, chip_index: int) -> bool:
@@ -107,12 +120,16 @@ class FlashBackend:
         were in flight when the die died; only the submit-time check is
         affected, which keeps the failure point deterministic.
         """
-        if not 0 <= chip_index < self.config.n_chips:
-            raise ValueError(f"chip index {chip_index} out of range")
+        if not 0 <= chip_index < self._n_chips:
+            raise self._bad_chip(chip_index)
         self._failed_chips.add(chip_index)
 
     def set_chip_slowdown(self, chip_index: int, multiplier: float) -> None:
-        """Scale a die's chip-stage latency (``1.0`` clears the fault)."""
+        """Scale a die's chip-stage latency (``1.0`` clears the fault).
+
+        Applies to every chip service that starts from now on, including
+        transactions already queued on the die.
+        """
         if multiplier <= 0:
             raise ValueError(f"multiplier must be positive, got {multiplier}")
         if multiplier == 1.0:
@@ -121,7 +138,11 @@ class FlashBackend:
             self._chip_latency_mult[chip_index] = multiplier
 
     def set_channel_slowdown(self, ch_index: int, multiplier: float) -> None:
-        """Scale a channel's transfer latency (brownout; ``1.0`` clears)."""
+        """Scale a channel's transfer latency (brownout; ``1.0`` clears).
+
+        Applies to every transfer that starts from now on, including
+        transactions already queued on the channel.
+        """
         if multiplier <= 0:
             raise ValueError(f"multiplier must be positive, got {multiplier}")
         if multiplier == 1.0:
@@ -129,112 +150,112 @@ class FlashBackend:
         else:
             self._channel_latency_mult[ch_index] = multiplier
 
-    # -- latencies ----------------------------------------------------------
-    def _chip_latency(self, txn: PageTransaction) -> Nanoseconds:
-        if txn.kind in (TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ):
-            latency = self.config.read_latency_ns
-        elif txn.kind in (TxnKind.PROGRAM, TxnKind.GC_PROGRAM):
-            latency = self.config.write_latency_ns
-        elif txn.kind is TxnKind.ERASE:
-            latency = self.config.erase_latency_ns
-        else:
-            raise ValueError(f"unknown txn kind {txn.kind}")
-        if self._chip_latency_mult:
-            mult = self._chip_latency_mult.get(txn.chip_index)
-            if mult is not None:
-                latency = max(1, int(latency * mult))
-        return latency
-
-    def _channel_latency(self, txn: PageTransaction) -> Nanoseconds:
-        if not txn.uses_channel or txn.page_bytes == 0:
-            return 0
-        # Partial last pages still occupy a full page slot on the bus
-        # (MQSim transfers whole pages).
-        latency = self.config.page_transfer_ns
-        if self._channel_latency_mult:
-            mult = self._channel_latency_mult.get(self.channel_of(txn.chip_index))
-            if mult is not None:
-                latency = max(1, int(latency * mult))
-        return latency
-
     # -- dispatch -------------------------------------------------------------
     def submit(self, txn: PageTransaction) -> None:
-        """Enter a transaction into the backend pipeline."""
+        """Enter a transaction into the backend pipeline.
+
+        Raises ``ValueError`` for a chip index outside the array, for
+        every transaction kind, before any state changes.
+        """
+        chip_index = txn.chip_index
+        if not 0 <= chip_index < self._n_chips:
+            raise self._bad_chip(chip_index)
         txn.issued_ns = self.sim.now
-        if self._failed_chips and txn.chip_index in self._failed_chips:
+        if self._failed_chips and chip_index in self._failed_chips:
             # Dead die: the command engine learns after one status-poll
             # round trip (modelled as a read-latency wait) that the
             # operation errored out; no chip or channel time is consumed.
             txn.failed = True
             self.failed_fast += 1
-            self.sim.schedule(self.config.read_latency_ns, self._finish, txn)
+            self.sim.schedule_anon(self._chip_ns[0], self._finish, txn)
             return
-        if txn.is_read_like:
-            self._enqueue_chip(txn, next_stage=self._after_read_chip)
-        elif txn.kind in (TxnKind.PROGRAM, TxnKind.GC_PROGRAM):
-            self._enqueue_channel(txn, next_stage=self._after_write_channel)
-        else:  # ERASE
-            self._enqueue_chip(txn, next_stage=self._finish)
+        kind = txn.kind
+        if kind.read_like or kind is TxnKind.ERASE:
+            self._enqueue_chip(txn)
+        else:  # PROGRAM, GC_PROGRAM: data in over the channel first
+            self._enqueue_channel(txn)
 
     # -- chip stage -------------------------------------------------------
-    def _enqueue_chip(self, txn: PageTransaction, next_stage) -> None:
-        chip = self._chips[txn.chip_index]
-        queue = chip.read_queue if txn.is_read_like else chip.write_queue
-        queue.append((txn, next_stage))
-        if not chip.busy:
-            self._start_chip(txn.chip_index)
-
-    def _start_chip(self, chip_index: int) -> None:
+    def _enqueue_chip(self, txn: PageTransaction) -> None:
+        chip_index = txn.chip_index
         chip = self._chips[chip_index]
-        if chip.busy:
-            return
-        item = chip.next_item()
-        if item is None:
-            return
-        txn, next_stage = item
-        chip.busy = True
-        latency = self._chip_latency(txn)
-        chip.busy_ns_total += latency
-        self.sim.schedule(latency, self._chip_done, chip_index, txn, next_stage)
+        if txn.kind.read_like:
+            chip.read_queue.append(txn)
+        else:
+            chip.write_queue.append(txn)
+        if not chip.busy:
+            self._start_chip(chip_index, chip)
 
-    def _chip_done(self, chip_index: int, txn: PageTransaction, next_stage) -> None:
-        self._chips[chip_index].busy = False
-        next_stage(txn)
-        self._start_chip(chip_index)
+    def _start_chip(self, chip_index: int, chip: _Chip) -> None:
+        """Serve the chip's next transaction; the chip must be idle.
+
+        Alternates between the read and write queues when both wait.
+        """
+        read_queue = chip.read_queue
+        if read_queue and not (chip.last_was_read and chip.write_queue):
+            txn = read_queue.popleft()
+            chip.last_was_read = True
+        elif chip.write_queue:
+            txn = chip.write_queue.popleft()
+            chip.last_was_read = False
+        else:
+            return
+        chip.busy = True
+        latency = self._chip_ns[txn.kind.chip_op]
+        if self._chip_latency_mult:
+            mult = self._chip_latency_mult.get(chip_index)
+            if mult is not None:
+                latency = max(1, int(latency * mult))
+        chip.busy_ns_total += latency
+        self.sim.schedule_anon(latency, self._chip_done, chip_index, txn)
+
+    def _chip_done(self, chip_index: int, txn: PageTransaction) -> None:
+        chip = self._chips[chip_index]
+        chip.busy = False
+        if txn.kind.read_like:
+            self._enqueue_channel(txn)
+        else:
+            self._finish(txn)
+        if not chip.busy:
+            self._start_chip(chip_index, chip)
 
     # -- channel stage -------------------------------------------------------
-    def _enqueue_channel(self, txn: PageTransaction, next_stage) -> None:
-        latency = self._channel_latency(txn)
-        if latency == 0:
-            next_stage(txn)
+    def _enqueue_channel(self, txn: PageTransaction) -> None:
+        if txn.page_bytes == 0:
+            # Nothing to move: the transfer takes no channel time.
+            self._after_channel(txn)
             return
-        ch_index = self.channel_of(txn.chip_index)
+        ch_index = self._chip_channel[txn.chip_index]
         channel = self._channels[ch_index]
-        channel.queue.append((txn, next_stage))
+        channel.queue.append(txn)
         if not channel.busy:
-            self._start_channel(ch_index)
+            self._start_channel(ch_index, channel)
 
-    def _start_channel(self, ch_index: int) -> None:
-        channel = self._channels[ch_index]
-        if channel.busy or not channel.queue:
-            return
-        txn, next_stage = channel.queue.popleft()
+    def _start_channel(self, ch_index: int, channel: _Server) -> None:
+        """Start the channel's next transfer; the channel must be idle."""
+        txn = channel.queue.popleft()
         channel.busy = True
-        latency = self._channel_latency(txn)
+        latency = self._transfer_ns
+        if self._channel_latency_mult:
+            mult = self._channel_latency_mult.get(ch_index)
+            if mult is not None:
+                latency = max(1, int(latency * mult))
         channel.busy_ns_total += latency
-        self.sim.schedule(latency, self._channel_done, ch_index, txn, next_stage)
+        self.sim.schedule_anon(latency, self._channel_done, ch_index, txn)
 
-    def _channel_done(self, ch_index: int, txn: PageTransaction, next_stage) -> None:
-        self._channels[ch_index].busy = False
-        next_stage(txn)
-        self._start_channel(ch_index)
+    def _channel_done(self, ch_index: int, txn: PageTransaction) -> None:
+        channel = self._channels[ch_index]
+        channel.busy = False
+        self._after_channel(txn)
+        if not channel.busy and channel.queue:
+            self._start_channel(ch_index, channel)
 
     # -- stage transitions ---------------------------------------------------
-    def _after_read_chip(self, txn: PageTransaction) -> None:
-        self._enqueue_channel(txn, next_stage=self._finish)
-
-    def _after_write_channel(self, txn: PageTransaction) -> None:
-        self._enqueue_chip(txn, next_stage=self._finish)
+    def _after_channel(self, txn: PageTransaction) -> None:
+        if txn.kind.read_like:
+            self._finish(txn)
+        else:
+            self._enqueue_chip(txn)
 
     def _finish(self, txn: PageTransaction) -> None:
         txn.done_ns = self.sim.now

@@ -42,12 +42,9 @@ class CachedMappingTable:
     def __len__(self) -> int:
         return len(self._pages)
 
-    def translation_page_of(self, lpn: int) -> int:
-        return lpn // self.entries_per_translation_page
-
     def lookup(self, lpn: int) -> bool:
         """True on hit.  A miss inserts the translation page (fetch-on-miss)."""
-        key = self.translation_page_of(lpn)
+        key = lpn // self.entries_per_translation_page
         if key in self._pages:
             self._pages.move_to_end(key)
             self.hits += 1
@@ -182,7 +179,7 @@ class FTL:
         chip = self._chips[chip_index]
         return (
             not chip.gc_active
-            and chip.free_block_count() < self.config.gc_threshold_free_blocks
+            and len(chip.free_blocks) < self.config.gc_threshold_free_blocks
         )
 
     def begin_gc(self, chip_index: int) -> tuple[int, list[int]] | None:

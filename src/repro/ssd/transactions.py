@@ -14,8 +14,20 @@ from typing import Any, Callable
 from repro.sim.serial import SerialCounter
 
 
+#: Values of the kinds whose chip operation comes first.
+_READ_LIKE = ("read", "mapping_read", "gc_read")
+#: Chip-operation index of each kind's value (see ``TxnKind.chip_op``).
+_CHIP_OP = {"program": 1, "gc_program": 1, "erase": 2}
+
+
 class TxnKind(enum.Enum):
-    """What a page transaction does at the flash backend."""
+    """What a page transaction does at the flash backend.
+
+    Each member carries its service shape as plain attributes, set once
+    at class creation: the flash backend reads them on every stage, and
+    an attribute load is cheaper than hashing the member
+    (``Enum.__hash__`` is a Python-level call).
+    """
 
     READ = "read"
     PROGRAM = "program"
@@ -23,6 +35,12 @@ class TxnKind(enum.Enum):
     MAPPING_READ = "mapping_read"
     GC_READ = "gc_read"
     GC_PROGRAM = "gc_program"
+
+    def __init__(self, value: str) -> None:
+        #: Chip-op-first transaction (data flows chip → channel).
+        self.read_like = value in _READ_LIKE
+        #: Index of the chip-stage latency: 0 sense, 1 program, 2 erase.
+        self.chip_op = _CHIP_OP.get(value, 0)
 
 
 _txn_ids = SerialCounter("ssd.txn")
@@ -41,9 +59,12 @@ class PageTransaction:
     page_bytes:
         Payload moved over the channel (0 for erase).
     owner:
-        Opaque back-reference (the in-flight command, or the GC job).
+        Back-reference for ``on_done``: the in-flight command of a data
+        read or program, the data read a mapping read gates, or None.
     on_done:
-        Callback invoked when the backend finishes the transaction.
+        Callback invoked with the transaction when the backend finishes
+        it; the controller installs one cached bound method per kind
+        that finds its command through ``owner``.
     """
 
     kind: TxnKind
@@ -51,7 +72,7 @@ class PageTransaction:
     page_bytes: int
     owner: Any = None
     on_done: Callable[["PageTransaction"], None] | None = None
-    txn_id: int = field(default_factory=lambda: next(_txn_ids))
+    txn_id: int = field(default_factory=_txn_ids.__next__)
     issued_ns: int = -1
     done_ns: int = -1
     #: Set by the backend when the target die has failed: the
@@ -65,11 +86,6 @@ class PageTransaction:
             raise ValueError(f"page bytes must be non-negative, got {self.page_bytes}")
 
     @property
-    def uses_channel(self) -> bool:
-        """Erases occupy only the chip; everything else also moves data."""
-        return self.kind is not TxnKind.ERASE
-
-    @property
     def is_read_like(self) -> bool:
         """Chip-op-first transactions (data flows chip → channel)."""
-        return self.kind in (TxnKind.READ, TxnKind.MAPPING_READ, TxnKind.GC_READ)
+        return self.kind.read_like

@@ -185,3 +185,25 @@ def test_every_submitted_request_is_fetched_exactly_once_property(specs):
     assert {r.req_id for r in fetched} == {r.req_id for r in submitted}
     # The dependency index fully drains with the queues.
     assert not d._pending_buckets
+
+
+class TestPartitionCache:
+    def test_set_weights_changes_partition_on_next_fetch(self):
+        d = SSQDriver(1, 1)
+        for i in range(4):
+            d.submit(req(OpType.WRITE, lba=distinct_lba(i)))
+        # QD 4 at 1:1 -> 2 write slots: a third in-flight write is refused.
+        assert d.fetch(0, 2, 4) is None
+        d.set_weights(1, 3)  # 3 write slots from the very next fetch
+        assert d.fetch(0, 2, 4) is not None
+        assert d.fetch(0, 3, 4) is None
+        d.set_weights(1, 1)  # and back
+        assert d.fetch(0, 2, 4) is None
+        assert d.fetch(0, 1, 4) is not None
+
+    def test_partition_follows_queue_depth(self):
+        d = SSQDriver(1, 1)
+        for i in range(3):
+            d.submit(req(OpType.READ, lba=distinct_lba(i)))
+        assert d.fetch(2, 0, 4) is None  # 2 read slots of QD 4
+        assert d.fetch(2, 0, 8) is not None  # 4 read slots of QD 8

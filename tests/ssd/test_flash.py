@@ -134,3 +134,76 @@ def test_transaction_validation():
         PageTransaction(kind=TxnKind.READ, chip_index=-1, page_bytes=1)
     with pytest.raises(ValueError):
         PageTransaction(kind=TxnKind.READ, chip_index=0, page_bytes=-1)
+
+
+@pytest.mark.parametrize("kind", list(TxnKind))
+@pytest.mark.parametrize("chip", [FAST_SSD.n_chips, FAST_SSD.n_chips + 7])
+def test_out_of_range_chip_rejected_for_every_kind(kind, chip):
+    """``submit`` validates the chip index once, the same way for every
+    kind, before the transaction touches any queue or the event heap."""
+    sim, backend = make_backend()
+    pages = 0 if kind is TxnKind.ERASE else FAST_SSD.page_bytes
+    with pytest.raises(ValueError, match="out of range"):
+        backend.submit(txn(kind, chip=chip, pages=pages))
+    assert backend.pending() == 0
+    assert sim.pending() == 0
+
+
+def test_out_of_range_chip_rejected_even_when_dies_failed():
+    sim, backend = make_backend()
+    backend.fail_chip(0)
+    with pytest.raises(ValueError, match="out of range"):
+        backend.submit(txn(TxnKind.READ, chip=FAST_SSD.n_chips))
+    assert backend.failed_fast == 0
+    with pytest.raises(ValueError):
+        backend.fail_chip(FAST_SSD.n_chips)
+
+
+class TestFaultMultiplierTiming:
+    """Slowdowns are read when a service *starts*, not at enqueue."""
+
+    def test_chip_slowdown_applies_to_already_queued_transaction(self):
+        sim, backend = make_backend()
+        read, xfer = FAST_SSD.read_latency_ns, FAST_SSD.page_transfer_ns
+        done = []
+        for _ in range(2):
+            backend.submit(txn(TxnKind.READ, chip=0, done=lambda t: done.append(sim.now)))
+        # The second read is queued on chip 0 when the fault fires.
+        sim.schedule_at(read // 2, backend.set_chip_slowdown, 0, 3.0)
+        sim.run()
+        assert done == [read + xfer, max(read + 3 * read, read + xfer) + xfer]
+
+    def test_chip_slowdown_cleared_before_start_is_not_charged(self):
+        sim, backend = make_backend()
+        read, xfer = FAST_SSD.read_latency_ns, FAST_SSD.page_transfer_ns
+        done = []
+        backend.set_chip_slowdown(0, 2.0)
+        for _ in range(2):
+            backend.submit(txn(TxnKind.READ, chip=0, done=lambda t: done.append(sim.now)))
+        # Enqueued while slowed, but the fault clears before it starts.
+        sim.schedule_at(read, backend.set_chip_slowdown, 0, 1.0)
+        sim.run()
+        # Unslowed sense 2R..3R; its transfer waits for the channel.
+        assert done == [2 * read + xfer, max(3 * read, 2 * read + xfer) + xfer]
+
+    def test_channel_slowdown_applies_to_already_queued_transfer(self):
+        sim, backend = make_backend()
+        read, xfer = FAST_SSD.read_latency_ns, FAST_SSD.page_transfer_ns
+        done = []
+        # Chips 0 and 1 share channel 0: the second transfer queues.
+        for chip in (0, 1):
+            backend.submit(txn(TxnKind.READ, chip=chip, done=lambda t: done.append(sim.now)))
+        sim.schedule_at(read + xfer // 2, backend.set_channel_slowdown, 0, 2.0)
+        sim.run()
+        assert done == [read + xfer, read + xfer + 2 * xfer]
+
+    def test_program_channel_stage_reads_multiplier_at_start(self):
+        sim, backend = make_backend()
+        write, xfer = FAST_SSD.write_latency_ns, FAST_SSD.page_transfer_ns
+        done = []
+        # Two programs on chips of channel 0: data-in transfers serialise.
+        for chip in (0, 1):
+            backend.submit(txn(TxnKind.PROGRAM, chip=chip, done=lambda t: done.append(sim.now)))
+        sim.schedule_at(xfer // 2, backend.set_channel_slowdown, 0, 4.0)
+        sim.run()
+        assert done == [xfer + write, xfer + 4 * xfer + write]
