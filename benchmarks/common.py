@@ -284,8 +284,7 @@ def save_faults_perf(off: dict, on: dict) -> dict:
 #: at each boundary (small — the incast world is a few dozen
 #: components) and the loss of batch coalescing inside ``max_events``
 #: legs.  1.15x is the contract that makes periodic checkpointing cheap
-#: enough to leave on for long sweeps (`repro.parallel.supervise` relies
-#: on it for crash recovery).
+#: enough to leave on for long runs.
 CHECKPOINT_OVERHEAD_BUDGET = 1.15
 
 #: The checkpoint cadence the budget above is measured at.

@@ -3,14 +3,18 @@
 The static linter (:mod:`repro.analysis.simlint`) catches patterns that
 *could* break determinism; this module catches state that already *has*
 gone wrong, the moment it happens.  Enable it with
-``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1`` (which upgrades
-every plainly-constructed :class:`~repro.sim.engine.Simulator` in the
-process, so whole existing scenarios run sanitized unchanged).
+``Simulator(sanitize=True)`` or ``REPRO_SANITIZE=1`` (which attaches a
+:class:`Sanitizer` to every :class:`~repro.sim.engine.Simulator`
+constructed without an explicit ``sanitize``, so whole existing
+scenarios run sanitized unchanged).  The :class:`Sanitizer` is a
+:class:`~repro.sim.engine.DispatchObserver`: the engine's observed loop
+calls its sweep after every K-th event and stamps its errors.
 
 Checked invariants, per checked event:
 
 * **event-time-monotonic** — the clock never moves backwards between
-  dispatches (a corrupted heap or hand-pushed entry fails loudly);
+  dispatches (a corrupted heap or hand-pushed entry fails loudly; the
+  observed loop itself checks this on every event);
 * **queue-depth** — link queued bytes, switch buffered/ingress bytes,
   and NIC TXQ usage never go negative (and TXQ never exceeds capacity);
 * **byte-conservation** — every DATA byte a NIC receives is either
@@ -37,8 +41,8 @@ runs the component sweep every K-th dispatched event instead of every
 event, plus one final full sweep when each ``run()`` call returns —
 so a *sticky* violation (negative queue depth, broken conservation sum)
 is always caught, at most K-1 events late, for ~1/K of the checking
-cost.  Clock monotonicity is still verified on every event (two int
-compares).  A strided run is bit-identical to a plain or fully-checked
+cost.  Clock monotonicity is still verified on every event (one int
+compare).  A strided run is bit-identical to a plain or fully-checked
 run — the sanitizer only observes.
 
 When a strided run does trip, the violation site is coarse (the event
@@ -61,7 +65,7 @@ The sanitizer never schedules events or draws randomness, so a
 sanitized run is bit-identical to a plain one — the overhead budgets
 (``<= 3.0x`` full, ``<= 1.15x`` at stride 64, on the incast cell) are
 enforced by ``benchmarks/smoke_cell.py`` and recorded in
-``benchmarks/results/``.  The sanitizing dispatch loop never coalesces
+``benchmarks/results/``.  The observed dispatch loop never coalesces
 anonymous events into batch dispatches (each member dispatches singly —
 provably the same order, see ``repro.sim.engine``), so full-fidelity
 checks run between batch members and localization stays exact.
@@ -69,13 +73,10 @@ checks run between batch members and localization stays exact.
 
 from __future__ import annotations
 
-import heapq
 import time as _walltime
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
-from repro.profiling import site_label
-from repro.sim.engine import MaxEventsExceeded, Simulator
-from repro.sim.events import HANDLED_MARK
+from repro.sim.engine import DispatchObserver, site_label
 
 if TYPE_CHECKING:
     from repro.net.fluid import FluidDomain
@@ -83,12 +84,12 @@ if TYPE_CHECKING:
     from repro.net.nic import NIC
     from repro.net.switch import Switch
     from repro.nvme.wrr import TokenWRR
+    from repro.sim.engine import Simulator
     from repro.ssd.ftl import FTL
 
 __all__ = [
     "SanitizerError",
     "Sanitizer",
-    "SanitizingSimulator",
     "escalate",
     "ftl_mapping_violation",
     "parse_stride",
@@ -187,19 +188,24 @@ class _CheckedFinishGC:
             )
 
 
-class Sanitizer:
+class Sanitizer(DispatchObserver):
     """Registry of tracked components plus their per-event check functions.
 
-    Components self-register at construction time when their simulator
-    carries a sanitizer (``sim.sanitizer is not None``); tests can also
-    register objects directly.  Checks are grouped by component type so
-    the dispatch loop pays a handful of Python calls per checked event,
-    each a tight loop over a homogeneous list.  Per-group counters
-    (``check_counts``, ``violation_counts``, and ``check_ns`` once
+    ``Simulator(sanitize=...)`` attaches one as ``sim.sanitizer``; the
+    observed dispatch loop then calls :meth:`observe` (the full sweep)
+    after every ``stride``-th event and :meth:`run_finished` (the
+    end-of-run sweep) when a strided ``run()`` returns.  Components
+    self-register at construction time when their simulator carries a
+    sanitizer (``sim.sanitizer is not None``); tests can also register
+    objects directly.  Checks are grouped by component type so a checked
+    event pays a handful of Python calls, each a tight loop over a
+    homogeneous list.  Per-group counters (``check_counts``,
+    ``violation_counts``, and ``check_ns`` once
     :meth:`enable_cost_tracking` is on) record where checking time goes.
     """
 
     __slots__ = (
+        "stride",
         "_links",
         "_switches",
         "_nics",
@@ -213,7 +219,9 @@ class Sanitizer:
         "_timed",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, stride: int = 1) -> None:
+        #: The component sweep runs every this-many dispatched events.
+        self.stride = stride
         self._links: list[Link] = []
         self._switches: list[Switch] = []
         self._nics: list[NIC] = []
@@ -416,6 +424,59 @@ class Sanitizer:
                 return ("ftl-mapping", detail)
         return None
 
+    def check_now(self, time_ns: int | None = None) -> None:
+        """Run every invariant check immediately (outside dispatch)."""
+        failure = self.check() or self.check_ftls()
+        if failure is not None:
+            invariant, detail = failure
+            raise SanitizerError(invariant, detail, time_ns=time_ns)
+
+    def full_fidelity(self) -> None:
+        """Check every event from the next ``run()`` call on (stride 1)."""
+        self.stride = 1
+
+    # -- dispatch observer ------------------------------------------------
+    def observe(
+        self, sim: "Simulator", time: int, callback: Callable[..., Any]
+    ) -> None:
+        failure = self.check()
+        if failure is not None:
+            invariant, detail = failure
+            raise SanitizerError(
+                invariant, detail, time_ns=time, site=site_label(callback)
+            )
+
+    def run_finished(
+        self, sim: "Simulator", dispatched: int, completed: bool
+    ) -> None:
+        # End-of-run full sweep: a strided run must not let a sticky
+        # violation escape just because the run ended mid-window.
+        if not completed or self.stride == 1 or not dispatched:
+            return
+        failure = self.check()
+        if failure is not None:
+            invariant, detail = failure
+            raise SanitizerError(
+                invariant,
+                f"{detail} (caught by the end-of-run sweep; re-run with "
+                f"sanitize=True or repro.analysis.sanitizer.escalate() "
+                f"for the exact event)",
+                time_ns=sim.now,
+            )
+
+    @staticmethod
+    def stamp(err: BaseException, time: int, callback: Callable[..., Any]) -> None:
+        """Give a violation raised inside a callback its dispatch context.
+
+        Deferred-origin violations (the FTL GC hook) know neither the
+        event nor the time; the observed loop passes both on the way out.
+        """
+        if isinstance(err, SanitizerError):
+            if err.site is None:
+                err.site = site_label(callback)
+            if err.time_ns is None:
+                err.time_ns = time
+
 
 def parse_stride(sanitize: bool | str) -> int:
     """Check stride encoded in a ``sanitize`` value (1 = every event).
@@ -434,131 +495,6 @@ def parse_stride(sanitize: bool | str) -> int:
                 raise ValueError(f"sanitize stride must be >= 1, got {stride}")
             return stride
     return 1
-
-
-class SanitizingSimulator(Simulator):
-    """A :class:`Simulator` whose dispatch loop checks invariants.
-
-    The loop mirrors the plain engine's (same pop order, same ``until``
-    and ``max_events`` semantics), so a sanitized run is bit-identical;
-    it additionally verifies clock monotonicity before each dispatch and
-    runs the component checks after each K-th callback (K =
-    :attr:`check_stride`, 1 under ``sanitize=True``), raising
-    :class:`SanitizerError` annotated with the offending event's site.
-    Anonymous events are dispatched one by one (never batch-coalesced),
-    so under full fidelity every invariant holds between batch members.
-    """
-
-    __slots__ = ("_last_dispatch_ns", "check_stride", "_check_countdown")
-
-    def __init__(
-        self, *, trace: bool = False, sanitize: bool | str | None = None
-    ) -> None:
-        super().__init__(trace=trace)
-        self.sanitizer = Sanitizer()
-        self._last_dispatch_ns = 0
-        if sanitize is None:
-            import os
-
-            sanitize = env_sanitize_mode(os.environ.get("REPRO_SANITIZE")) or True
-        #: Component checks run every this-many dispatched events.
-        self.check_stride = parse_stride(sanitize)
-        self._check_countdown = self.check_stride
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        trace = self._trace
-        sanitizer = self.sanitizer
-        check = sanitizer.check
-        stride = self.check_stride
-        countdown = self._check_countdown
-        dispatched = 0
-        try:
-            while heap:
-                time, _seq, callback, args = heap[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                if callback is not HANDLED_MARK:
-                    queue._live -= 1
-                else:
-                    ev = args
-                    if ev.cancelled:
-                        queue._dead -= 1
-                        continue
-                    ev._queue = None
-                    queue._live -= 1
-                    callback = ev.callback
-                    args = ev.args
-                if time < self._last_dispatch_ns:
-                    raise SanitizerError(
-                        "event-time-monotonic",
-                        f"event scheduled at t={time} dispatched after "
-                        f"t={self._last_dispatch_ns} — the clock moved backwards",
-                        time_ns=time,
-                        site=site_label(callback),
-                    )
-                self._last_dispatch_ns = time
-                self.now = time
-                if trace:
-                    self.dispatch_log.append((time, site_label(callback)))
-                try:
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                except SanitizerError as err:
-                    # Deferred-origin violations (e.g. the FTL GC hook)
-                    # get the dispatch context stamped on the way out.
-                    if err.site is None:
-                        err.site = site_label(callback)
-                    if err.time_ns is None:
-                        err.time_ns = time
-                    raise
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = stride
-                    failure = check()
-                    if failure is not None:
-                        invariant, detail = failure
-                        raise SanitizerError(
-                            invariant, detail, time_ns=time, site=site_label(callback)
-                        )
-                dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    raise MaxEventsExceeded(
-                        max_events, dispatched, queue._live, self.now
-                    )
-        finally:
-            self._check_countdown = countdown
-            self.events_dispatched += dispatched
-        if stride > 1 and dispatched:
-            # End-of-run full sweep: a strided run must not let a sticky
-            # violation escape just because the run ended mid-window.
-            failure = check()
-            if failure is not None:
-                invariant, detail = failure
-                raise SanitizerError(
-                    invariant,
-                    f"{detail} (caught by the end-of-run sweep; re-run with "
-                    f"sanitize=True or repro.analysis.sanitizer.escalate() "
-                    f"for the exact event)",
-                    time_ns=self.now,
-                )
-        if until is not None and until > self.now:
-            self.now = until
-        if self.watchdog is not None and not heap:
-            self.watchdog(self)
-        return dispatched
-
-    def check_now(self) -> None:
-        """Run every invariant check immediately (outside dispatch)."""
-        failure = self.sanitizer.check() or self.sanitizer.check_ftls()
-        if failure is not None:
-            invariant, detail = failure
-            raise SanitizerError(invariant, detail, time_ns=self.now)
 
 
 def escalate(

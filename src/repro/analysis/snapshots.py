@@ -1,13 +1,13 @@
 """Snapshot-safety rules (SIM401–SIM404) over the project call graph.
 
-PR 9 made checkpoint/restore load-bearing (resumable sweeps,
-crash-resilient supervision, time-travel failure replay — DESIGN §11),
-and its correctness rests on conventions the type system cannot see:
-schedule sites must be closure-free, id streams must route through
-:class:`repro.sim.serial.SerialCounter`, and no simulation state may
-live outside the pickled ``{sim, world, counters}`` root set.  This
-pass turns those conventions into machine-checked invariants, the same
-way SIM3xx proved the DES shardable before sharding lands:
+Checkpoint/restore is load-bearing (resumable runs and time-travel
+failure replay — DESIGN §11), and its correctness rests on conventions
+the type system cannot see: schedule sites must be closure-free, id
+streams must route through :class:`repro.sim.serial.SerialCounter`, and
+no simulation state may live outside the pickled ``{sim, world,
+counters}`` root set.  This pass turns those conventions into
+machine-checked invariants, the same way SIM3xx proved the DES
+shardable before sharding lands:
 
 SIM401
     Every callback the event heap can hold must survive the checkpoint
@@ -45,7 +45,7 @@ SIM403
     the restored heap could bind methods to objects the world no
     longer references.
 SIM404
-    Restore-order typestate over the checkpoint/supervise lifecycle:
+    Restore-order typestate over the checkpoint/restore lifecycle:
     ``load`` lexically before ``save`` in the same driver body (clobber
     of the checkpoint being read), manual ``Simulator(...)``
     construction beside :func:`~repro.sim.checkpoint.resume_or_start`

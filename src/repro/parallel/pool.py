@@ -36,10 +36,6 @@ Failure handling
   charged against the victim cell's attempt budget and recorded in its
   :class:`CellFailure` as ``kind="timeout"``/``"crash"`` when the
   budget runs out.
-
-For worker *heartbeats*, SIGKILL/OOM detection, and bounded
-re-execution from periodic checkpoints, see the supervised runner in
-:mod:`repro.parallel.supervise`.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Opt-in engine instrumentation: events/sec, callback sites, cProfile.
 
 The plain :class:`repro.sim.engine.Simulator` keeps its dispatch loop
-free of bookkeeping; this module provides the instrumented counterpart
-for performance work:
+free of bookkeeping; this module provides the instrumentation for
+performance work:
 
-* :class:`InstrumentedSimulator` — a drop-in ``Simulator`` whose ``run``
-  additionally counts dispatches per callback site (``__qualname__``),
-  measures wall-clock time, and snapshots the heap high-water mark.
-  Slower than the plain engine; use it to find hot callbacks, not to
-  produce results.
+* :class:`SiteProfiler` — a dispatch observer that counts dispatches
+  per callback site (:func:`site_label`) and measures wall-clock time;
+* :class:`InstrumentedSimulator` — a ``Simulator`` constructed with a
+  :class:`SiteProfiler` attached, whose :meth:`~InstrumentedSimulator.
+  profile` also snapshots the heap high-water mark.  Slower than the
+  plain engine; use it to find hot callbacks, not to produce results.
 * :class:`EngineProfile` — the summary produced by
   :meth:`InstrumentedSimulator.profile`, JSON-ready via ``as_dict``.
 * :func:`run_with_cprofile` — run any callable under :mod:`cProfile`
@@ -23,7 +24,6 @@ for performance work:
 from __future__ import annotations
 
 import cProfile
-import heapq
 import io
 import pstats
 import time as _time
@@ -37,14 +37,14 @@ from repro.profiling.bench import (
     incast_outputs,
     run_incast_cell,
 )
-from repro.sim.engine import MaxEventsExceeded, Simulator
-from repro.sim.events import HANDLED_MARK
+from repro.sim.engine import DispatchObserver, Simulator, site_label
 
 __all__ = [
     "BenchResult",
     "EngineProfile",
     "InstrumentedSimulator",
     "SanitizerCostProfile",
+    "SiteProfiler",
     "build_incast_cell",
     "engine_microbench",
     "incast_outputs",
@@ -52,11 +52,6 @@ __all__ = [
     "run_with_cprofile",
     "site_label",
 ]
-
-
-def site_label(callback: Callable[..., Any]) -> str:
-    """Stable label for a callback site (the profiling/sanitizer key)."""
-    return getattr(callback, "__qualname__", None) or repr(callback)
 
 
 @dataclass
@@ -175,105 +170,54 @@ class SanitizerCostProfile:
         return "\n".join(lines)
 
 
-class InstrumentedSimulator(Simulator):
-    """A :class:`Simulator` that accounts every dispatch.
+class SiteProfiler(DispatchObserver):
+    """Dispatch observer that counts events per callback site.
 
-    The run loop mirrors the plain engine's (same pop order, same
-    ``until``/``max_events`` semantics — simulations are bit-identical)
-    but additionally tallies per-callback-site counts and wall time.
+    Attached to a :class:`Simulator` it sees every dispatched event
+    (stride 1) and accumulates the wall time of each ``run()`` call.
     """
 
-    __slots__ = ("site_counts", "run_wall_s")
+    __slots__ = ("site_counts", "run_wall_s", "_t0")
 
-    def __init__(self, *, trace: bool = False) -> None:
-        super().__init__(trace=trace)
+    def __init__(self) -> None:
+        #: :func:`site_label` -> dispatch count.
         self.site_counts: dict[str, int] = {}
         self.run_wall_s: float = 0.0
+        self._t0 = 0.0
 
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        queue = self._queue
-        heap = queue._heap
-        heappop = heapq.heappop
-        trace = self._trace
-        site_counts = self.site_counts
-        batch_map = self._batch_callbacks
-        coalesce = batch_map and max_events is None
-        dispatched = 0
-        t0 = _time.perf_counter()
-        try:
-            while heap:
-                time, _seq, callback, tail = heap[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                if callback is not HANDLED_MARK:
-                    queue._live -= 1
-                    self.now = time
-                    name = site_label(callback)
-                    if (
-                        coalesce
-                        and heap
-                        and (head := heap[0])[0] == time
-                        and head[2] is callback
-                    ):
-                        batch_callback = batch_map.get(callback)
-                        if batch_callback is not None:
-                            batch = [tail]
-                            while heap:
-                                head = heap[0]
-                                if head[0] != time or head[2] is not callback:
-                                    break
-                                heappop(heap)
-                                batch.append(head[3])
-                            queue._live -= len(batch) - 1
-                            site_counts[name] = site_counts.get(name, 0) + len(batch)
-                            if trace:
-                                self.dispatch_log.extend((time, name) for _ in batch)
-                            batch_callback(batch)
-                            dispatched += len(batch)
-                            continue
-                    site_counts[name] = site_counts.get(name, 0) + 1
-                    if trace:
-                        self.dispatch_log.append((time, name))
-                    callback(*tail)
-                else:
-                    ev = tail
-                    if ev.cancelled:
-                        queue._dead -= 1
-                        continue
-                    ev._queue = None
-                    queue._live -= 1
-                    self.now = time
-                    callback = ev.callback
-                    name = site_label(callback)
-                    site_counts[name] = site_counts.get(name, 0) + 1
-                    if trace:
-                        self.dispatch_log.append((time, name))
-                    args = ev.args
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    raise MaxEventsExceeded(
-                        max_events, dispatched, queue._live, self.now
-                    )
-        finally:
-            self.events_dispatched += dispatched
-            self.run_wall_s += _time.perf_counter() - t0
-        if until is not None and until > self.now:
-            self.now = until
-        return dispatched
+    def run_started(self, sim: Simulator) -> None:
+        self._t0 = _time.perf_counter()
+
+    def observe(self, sim: Simulator, time: int, callback: Callable[..., Any]) -> None:
+        name = site_label(callback)
+        self.site_counts[name] = self.site_counts.get(name, 0) + 1
+
+    def run_finished(self, sim: Simulator, dispatched: int, completed: bool) -> None:
+        self.run_wall_s += _time.perf_counter() - self._t0
+
+
+class InstrumentedSimulator(Simulator):
+    """A :class:`Simulator` with a :class:`SiteProfiler` attached.
+
+    Never sanitized (the sanitizer's sweeps would pollute the wall
+    time), and slower than the plain engine: use it to find hot
+    callbacks, not to produce results.  Outputs are bit-identical.
+    """
+
+    __slots__ = ("profiler",)
+
+    def __init__(self, *, trace: bool = False) -> None:
+        super().__init__(trace=trace, sanitize=False)
+        self.profiler = self.attach(SiteProfiler())
 
     def profile(self) -> EngineProfile:
         """Snapshot the statistics accumulated so far."""
         return EngineProfile(
             events_dispatched=self.events_dispatched,
-            wall_s=self.run_wall_s,
+            wall_s=self.profiler.run_wall_s,
             heap_high_water=self._queue.high_water,
             sim_end_ns=self.now,
-            site_counts=dict(self.site_counts),
+            site_counts=dict(self.profiler.site_counts),
         )
 
 

@@ -146,12 +146,12 @@ def _slot_names(cls: type) -> list[str]:
 
 
 def _new_instance(cls: type) -> Any:
-    """Allocate without ``__init__`` *or* ``cls.__new__``.
+    """Allocate without running ``__init__``.
 
-    ``Simulator.__new__`` consults the ``REPRO_SANITIZE`` environment
-    and may substitute the sanitizing subclass — correct at build time,
-    wrong at unpickle time (the checkpoint records which class actually
-    ran).  ``object.__new__`` restores exactly the recorded class.
+    ``Simulator.__init__`` consults the ``REPRO_SANITIZE`` environment
+    and may attach a fresh sanitizer — correct at build time, wrong at
+    unpickle time (the checkpoint records which observers actually
+    ran).  ``object.__new__`` restores exactly the recorded state.
     """
     return object.__new__(cls)
 
@@ -507,8 +507,8 @@ def replay_failure(
     """Time-travel to a dumped failure: restore its nearest checkpoint
     and deterministically re-run to the violating event.
 
-    When the checkpointed simulator is a ``SanitizingSimulator`` its
-    stride is forced to 1 (full fidelity — every event checked, the
+    When the checkpointed simulator carries a sanitizer its stride is
+    forced to 1 (full fidelity — every event checked, the
     same escalation PR 6's ``escalate()`` applies from time zero, but
     starting at the checkpoint instead).  Returns a report dict; the
     violation is *expected* — ``reproduced`` is False when the re-run
@@ -527,16 +527,15 @@ def replay_failure(
         recipe_obj["checkpoint"], scenario=recipe_obj.get("scenario")
     )
     start_events = sim.events_dispatched
-    sanitizing = hasattr(sim, "check_stride")
-    if sanitizing:
-        sim.check_stride = 1  # full fidelity from the checkpoint on
-        sim._check_countdown = 1
+    sanitizer = sim.sanitizer
+    if sanitizer is not None:
+        sanitizer.full_fidelity()  # every event from the checkpoint on
     horizon = until if until is not None else recipe_obj["until"]
     report: dict[str, Any] = {
         "reproduced": False,
         "checkpoint": recipe_obj["checkpoint"],
         "checkpoint_events": start_events,
-        "sanitizing": sanitizing,
+        "sanitizing": sanitizer is not None,
         "events_replayed": 0,
     }
     try:

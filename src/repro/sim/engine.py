@@ -27,13 +27,23 @@ strictly order-preserving: batch members are exactly the consecutive
 run of equal-``(time, callback)`` heap heads, popped in sequence order,
 and anonymous events cannot be cancelled, so a batched dispatch is
 semantically identical to dispatching the members one by one.
+
+:meth:`Simulator.run` has exactly two loops.  The lean loop above runs
+whenever nothing watches the run; attaching a :class:`DispatchObserver`
+(the ``trace=True`` dispatch log, the runtime sanitizer, the profiler)
+or passing ``max_events`` selects the observed loop, which dispatches
+strictly one event at a time (no coalescing — same order, see above),
+checks that the clock never moves backwards, and calls each observer
+after every ``stride``-th event.  The strides share one countdown, so
+a sampled observer costs the loop one int compare per event, not a
+method call.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from repro.sim.events import HANDLED_MARK, Event, EventQueue
 
@@ -73,6 +83,64 @@ class MaxEventsExceeded(RuntimeError):
         self.now = now
 
 
+def site_label(callback: Callable[..., Any]) -> str:
+    """Stable label for a callback site (dispatch log, profiler, sanitizer).
+
+    Functions and bound methods give their ``__qualname__``; callable
+    instances give their class's, so no label carries a memory address.
+    """
+    return getattr(callback, "__qualname__", None) or type(callback).__qualname__
+
+
+class DispatchObserver:
+    """A hook on :meth:`Simulator.run`'s observed loop.
+
+    Attach one with :meth:`Simulator.attach`.  :meth:`observe` runs
+    after the callback of every ``stride``-th dispatched event, counted
+    over the simulator's lifetime (events ``stride``, ``2 * stride``,
+    ... — the phase survives ``run()`` boundaries and checkpoints);
+    :meth:`run_started` / :meth:`run_finished` bracket each ``run()``
+    call.  An observer may raise to abort the run; it must not schedule
+    events, so an observed run dispatches exactly what a plain one does.
+    """
+
+    __slots__ = ()
+
+    #: observe() runs on every this-many dispatched events (re-read
+    #: whenever the observer is due and at the first event of a run).
+    stride: int = 1
+
+    def run_started(self, sim: "Simulator") -> None:
+        """Called when ``run()`` enters the observed loop."""
+
+    def observe(
+        self, sim: "Simulator", time: "Nanoseconds", callback: Callable[..., Any]
+    ) -> None:
+        """Called after the due event's ``callback`` returned."""
+
+    def run_finished(
+        self, sim: "Simulator", dispatched: int, completed: bool
+    ) -> None:
+        """Called as ``run()`` exits; ``completed`` is False when it raised."""
+
+
+class _DispatchLog(DispatchObserver):
+    """The ``trace=True`` observer: appends ``(time, site)`` per event."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, log: list[tuple[int, str]]) -> None:
+        self.log = log
+
+    def observe(
+        self, sim: "Simulator", time: "Nanoseconds", callback: Callable[..., Any]
+    ) -> None:
+        self.log.append((time, site_label(callback)))
+
+
+_Observer = TypeVar("_Observer", bound=DispatchObserver)
+
+
 class Simulator:
     """Single-clock discrete-event simulator.
 
@@ -80,17 +148,16 @@ class Simulator:
     ----------
     trace:
         When true, every dispatched event is appended to
-        :attr:`dispatch_log` as ``(time, callback_qualname)`` — useful in
-        tests, far too slow for real runs.  Batched dispatches log one
-        line per batch *member*, so a traced run produces the same log
-        whether or not coalescing fired.
+        :attr:`dispatch_log` as ``(time, site_label(callback))`` —
+        useful in tests, far too slow for real runs.  The log is kept by
+        an observer, so a traced run dispatches one event at a time and
+        logs exactly what a coalescing run dispatches.
     sanitize:
         When true (or when the ``REPRO_SANITIZE`` environment variable
-        is set and ``sanitize`` is left as ``None``), constructing
-        ``Simulator(...)`` transparently yields a
-        :class:`repro.analysis.sanitizer.SanitizingSimulator`, whose
-        dispatch loop checks runtime invariants (clock monotonicity,
-        queue depths, byte conservation, ...) and raises
+        is set and ``sanitize`` is left as ``None``), a
+        :class:`repro.analysis.sanitizer.Sanitizer` is attached as
+        :attr:`sanitizer`: it checks runtime invariants (clock
+        monotonicity, queue depths, byte conservation, ...) and raises
         :class:`~repro.analysis.sanitizer.SanitizerError` on violation.
         The string form ``"stride:K"`` (e.g. ``"stride:64"``, also
         accepted in ``REPRO_SANITIZE``) samples the invariant sweep
@@ -104,39 +171,27 @@ class Simulator:
     __slots__ = (
         "now",
         "_queue",
-        "_trace",
         "dispatch_log",
         "events_dispatched",
         "_batch_callbacks",
+        "_observers",
         "sanitizer",
         "watchdog",
     )
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> "Simulator":
-        if cls is Simulator:
-            sanitize = kwargs.get("sanitize")
-            if sanitize is None:
-                from repro.analysis.sanitizer import env_sanitize_mode
-
-                sanitize = env_sanitize_mode(os.environ.get("REPRO_SANITIZE"))
-            if sanitize:
-                from repro.analysis.sanitizer import SanitizingSimulator
-
-                return object.__new__(SanitizingSimulator)
-        return object.__new__(cls)
 
     def __init__(
         self, *, trace: bool = False, sanitize: bool | str | None = None
     ) -> None:
         self.now: Nanoseconds = 0
         self._queue = EventQueue()
-        self._trace = trace
         self.dispatch_log: list[tuple[int, str]] = []
         self.events_dispatched: int = 0
         #: item callback -> batch callback (see :meth:`register_batch`).
         self._batch_callbacks: dict[Callable[..., None], Callable[..., None]] = {}
-        #: Set by :class:`~repro.analysis.sanitizer.SanitizingSimulator`;
-        #: components register themselves here when it is not ``None``.
+        #: Attached observers, in attach order (see :meth:`attach`).
+        self._observers: list[DispatchObserver] = []
+        #: The attached sanitizer; components register themselves here
+        #: when it is not ``None``.
         self.sanitizer: "Sanitizer | None" = None
         #: Quiescence hook (e.g. the stuck-I/O watchdog from
         #: :mod:`repro.faults.watchdog`): called with the simulator once
@@ -145,6 +200,25 @@ class Simulator:
         #: The hook may raise (``StuckIOError``) to turn a silent wedge
         #: into a diagnostic failure.
         self.watchdog: "Callable[[Simulator], None] | None" = None
+        if trace:
+            self.attach(_DispatchLog(self.dispatch_log))
+        if sanitize is None and "REPRO_SANITIZE" in os.environ:
+            from repro.analysis.sanitizer import env_sanitize_mode
+
+            sanitize = env_sanitize_mode(os.environ["REPRO_SANITIZE"])
+        if sanitize:
+            from repro.analysis.sanitizer import Sanitizer, parse_stride
+
+            self.sanitizer = self.attach(Sanitizer(stride=parse_stride(sanitize)))
+
+    def attach(self, observer: _Observer) -> _Observer:
+        """Watch every following :meth:`run` with ``observer``; returns it.
+
+        Any attached observer routes ``run`` through the observed loop.
+        Observers are called in attach order.
+        """
+        self._observers.append(observer)
+        return observer
 
     # -- scheduling -----------------------------------------------------
     def schedule(
@@ -283,9 +357,9 @@ class Simulator:
             rather than hanging CI.  The simulator is left mid-run —
             clock advanced, remaining events queued — but consistent, so
             callers may inspect ``now``, ``pending()``, and
-            ``events_dispatched`` after catching the error.  Batch
-            coalescing is disabled under ``max_events`` so the limit is
-            exact to the single event.
+            ``events_dispatched`` after catching the error.  A limit
+            selects the observed loop, which never coalesces, so the
+            limit is exact to the single event.
 
         Returns
         -------
@@ -293,70 +367,19 @@ class Simulator:
             The number of events dispatched during this call (batch
             members count individually).
         """
+        if self._observers or max_events is not None:
+            return self._run_observed(until, max_events)
         queue = self._queue
         heap = queue._heap  # the queue compacts in place; alias stays valid
         heappop = heapq.heappop
-        trace = self._trace
         batch_map = self._batch_callbacks
         deadline = _NO_DEADLINE if until is None else until
-        coalesce = batch_map and max_events is None
+        coalesce = batch_map
         dispatched = 0
-        if not trace and max_events is None:
-            # Lean loop for the overwhelmingly common configuration: no
-            # dispatch log, no event limit.  Identical semantics to the
-            # general loop below minus its per-event trace/limit checks,
-            # which measurably add up at millions of events.
-            try:
-                while heap:
-                    time, _seq, callback, tail = heap[0]
-                    if time > deadline:
-                        break
-                    heappop(heap)
-                    if callback is not HANDLED_MARK:
-                        queue._live -= 1
-                        self.now = time
-                        if (
-                            coalesce
-                            and heap
-                            and (head := heap[0])[0] == time
-                            and head[2] is callback
-                        ):
-                            batch_callback = batch_map.get(callback)
-                            if batch_callback is not None:
-                                batch = [tail]
-                                append = batch.append
-                                while heap:
-                                    head = heap[0]
-                                    if head[0] != time or head[2] is not callback:
-                                        break
-                                    heappop(heap)
-                                    append(head[3])
-                                queue._live -= len(batch) - 1
-                                batch_callback(batch)
-                                dispatched += len(batch)
-                                continue
-                        callback(*tail)
-                    else:
-                        ev = tail
-                        if ev.cancelled:
-                            queue._dead -= 1
-                            continue
-                        ev._queue = None
-                        queue._live -= 1
-                        self.now = time
-                        args = ev.args
-                        if args:
-                            ev.callback(*args)
-                        else:
-                            ev.callback()
-                    dispatched += 1
-            finally:
-                self.events_dispatched += dispatched
-            if until is not None and until > self.now:
-                self.now = until
-            if self.watchdog is not None and not heap:
-                self.watchdog(self)
-            return dispatched
+        # Lean loop for the overwhelmingly common configuration: no
+        # observer, no event limit.  Identical semantics to the observed
+        # loop below minus its per-event clock check and observer
+        # countdown, which measurably add up at millions of events.
         try:
             while heap:
                 time, _seq, callback, tail = heap[0]
@@ -383,20 +406,9 @@ class Simulator:
                                 heappop(heap)
                                 append(head[3])
                             queue._live -= len(batch) - 1
-                            if trace:
-                                name = getattr(
-                                    callback, "__qualname__", repr(callback)
-                                )
-                                self.dispatch_log.extend(
-                                    (time, name) for _ in batch
-                                )
                             batch_callback(batch)
                             dispatched += len(batch)
                             continue
-                    if trace:
-                        self.dispatch_log.append(
-                            (time, getattr(callback, "__qualname__", repr(callback)))
-                        )
                     callback(*tail)
                 else:
                     ev = tail
@@ -406,23 +418,97 @@ class Simulator:
                     ev._queue = None
                     queue._live -= 1
                     self.now = time
-                    callback = ev.callback
-                    if trace:
-                        self.dispatch_log.append(
-                            (time, getattr(callback, "__qualname__", repr(callback)))
-                        )
                     args = ev.args
                     if args:
-                        callback(*args)
+                        ev.callback(*args)
                     else:
-                        callback()
+                        ev.callback()
                 dispatched += 1
-                if max_events is not None and dispatched >= max_events:
-                    raise MaxEventsExceeded(
-                        max_events, dispatched, queue._live, self.now
-                    )
         finally:
             self.events_dispatched += dispatched
+        if until is not None and until > self.now:
+            self.now = until
+        if self.watchdog is not None and not heap:
+            self.watchdog(self)
+        return dispatched
+
+    def _run_observed(self, until: Nanoseconds | None, max_events: int | None) -> int:
+        """:meth:`run` one event at a time, with observers and a limit.
+
+        Batch coalescing is off, so every event is one dispatch: the
+        observers see each batch member and ``max_events`` is exact.
+        Same pop order as the lean loop, hence the same outputs.
+        """
+        queue = self._queue
+        heap = queue._heap
+        heappop = heapq.heappop
+        deadline = _NO_DEADLINE if until is None else until
+        limit = _NO_DEADLINE if max_events is None else max_events
+        observers = self._observers
+        for observer in observers:
+            observer.run_started(self)
+        base = self.events_dispatched
+        # ``stop`` is the dispatch count at which an observer may be due
+        # or the limit is hit, so one compare per event covers both.  It
+        # starts at the first event, where the due set is worked out.
+        stop = 1
+        dispatched = 0
+        completed = False
+        time = self.now
+        callback: Any = None
+        try:
+            while heap:
+                time, _seq, callback, args = heap[0]
+                if time > deadline:
+                    break
+                heappop(heap)
+                if callback is not HANDLED_MARK:
+                    queue._live -= 1
+                else:
+                    ev = args
+                    if ev.cancelled:
+                        queue._dead -= 1
+                        continue
+                    ev._queue = None
+                    queue._live -= 1
+                    callback = ev.callback
+                    args = ev.args
+                if time < self.now:
+                    raise _clock_went_backwards(time, self.now, callback)
+                self.now = time
+                if args:
+                    callback(*args)
+                else:
+                    callback()
+                dispatched += 1
+                if dispatched >= stop:
+                    # Observers fire at lifetime event counts that are
+                    # multiples of their stride.
+                    count = base + dispatched
+                    stop = limit
+                    for observer in observers:
+                        stride = observer.stride
+                        phase = count % stride
+                        if not phase:
+                            observer.observe(self, time, callback)
+                        if dispatched + stride - phase < stop:
+                            stop = dispatched + stride - phase
+                    if dispatched >= limit:
+                        raise MaxEventsExceeded(
+                            limit, dispatched, queue._live, self.now
+                        )
+            completed = True
+        except Exception as err:
+            # A violation raised from inside a callback (the sanitizer's
+            # FTL GC hook) leaves its dispatch context unset; stamp the
+            # event being dispatched on the way out.
+            if self.sanitizer is not None:
+                self.sanitizer.stamp(err, time, callback)
+            raise
+        finally:
+            self.events_dispatched += dispatched
+            for observer in observers:
+                observer.run_finished(self, dispatched, completed)
         if until is not None and until > self.now:
             self.now = until
         if self.watchdog is not None and not heap:
@@ -432,3 +518,18 @@ class Simulator:
     def pending(self) -> int:
         """Number of live events still scheduled (O(1))."""
         return len(self._queue)
+
+
+def _clock_went_backwards(
+    time: Nanoseconds, now: Nanoseconds, callback: Callable[..., Any]
+) -> Exception:
+    """The observed loop's clock-monotonicity failure (a corrupted heap)."""
+    from repro.analysis.sanitizer import SanitizerError
+
+    return SanitizerError(
+        "event-time-monotonic",
+        f"event scheduled at t={time} dispatched after t={now} — the clock "
+        f"moved backwards",
+        time_ns=time,
+        site=site_label(callback),
+    )

@@ -55,8 +55,10 @@ def test_every_shard_rule_has_a_description():
         assert rule in ALL_RULES
 
 
-def test_repo_src_tree_is_clean_under_shards():
-    report = lint_project([SRC], baseline_path=None, shards=True)
+def test_repo_src_tree_is_clean_under_shards(src_lint_cache):
+    report = lint_project(
+        [SRC], baseline_path=None, shards=True, cache_path=src_lint_cache
+    )
     assert report.violations == []
 
 
@@ -292,11 +294,11 @@ def test_cli_emits_and_writes_sarif(tmp_path, capsys):
     ]
 
 
-def test_cli_src_tree_is_clean_under_shards(tmp_path):
+def test_cli_src_tree_is_clean_under_shards(src_lint_cache):
     rc = cli_main(
         [
             "lint", str(SRC), "--shards", "--no-baseline",
-            "--cache", str(tmp_path / "ast_index.pickle"),
+            "--cache", str(src_lint_cache),
         ]
     )
     assert rc == 0

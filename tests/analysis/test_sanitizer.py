@@ -14,7 +14,6 @@ import pytest
 from repro.analysis.sanitizer import (
     Sanitizer,
     SanitizerError,
-    SanitizingSimulator,
     env_sanitize_enabled,
     escalate,
     ftl_mapping_violation,
@@ -34,27 +33,28 @@ from tests.conftest import FAST_SSD
 
 def test_sanitize_kwarg_promotes_construction(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    assert type(Simulator()) is Simulator
-    assert type(Simulator(sanitize=False)) is Simulator
+    assert Simulator().sanitizer is None
+    assert Simulator(sanitize=False).sanitizer is None
     sim = Simulator(sanitize=True)
-    assert isinstance(sim, SanitizingSimulator)
+    assert type(sim) is Simulator  # a plain engine, sanitizer attached
     assert sim.sanitizer is not None
+    assert sim.sanitizer.stride == 1
 
 
 def test_env_variable_promotes_construction(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert isinstance(Simulator(), SanitizingSimulator)
+    assert Simulator().sanitizer is not None
     # An explicit kwarg beats the environment.
-    assert type(Simulator(sanitize=False)) is Simulator
+    assert Simulator(sanitize=False).sanitizer is None
     monkeypatch.setenv("REPRO_SANITIZE", "0")
-    assert type(Simulator()) is Simulator
+    assert Simulator().sanitizer is None
 
 
 def test_subclasses_are_never_promoted(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     sim = InstrumentedSimulator()
-    assert type(sim) is InstrumentedSimulator
-    assert sim.sanitizer is None
+    assert sim.sanitizer is None  # the profiler is never sanitized
+    assert sim.profile().events_dispatched == 0
 
 
 @pytest.mark.parametrize(
@@ -147,12 +147,12 @@ def test_wrr_token_bounds_are_caught():
 
 def test_check_now_outside_dispatch():
     sim = Simulator(sanitize=True)
-    sim.check_now()  # nothing tracked: clean
+    sim.sanitizer.check_now(sim.now)  # nothing tracked: clean
     wrr = TokenWRR(2, 2)
     sim.sanitizer.track_wrr(wrr)
     wrr.write_tokens = -1
     with pytest.raises(SanitizerError):
-        sim.check_now()
+        sim.sanitizer.check_now(sim.now)
 
 
 # -- FTL mapping consistency --------------------------------------------------
@@ -257,12 +257,12 @@ def test_parse_stride():
 def test_stride_kwarg_and_env_promote_construction(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     sim = Simulator(sanitize="stride:16")
-    assert isinstance(sim, SanitizingSimulator)
-    assert sim.check_stride == 16
+    assert sim.sanitizer is not None
+    assert sim.sanitizer.stride == 16
     monkeypatch.setenv("REPRO_SANITIZE", "stride:8")
     sim = Simulator()
-    assert isinstance(sim, SanitizingSimulator)
-    assert sim.check_stride == 8
+    assert sim.sanitizer is not None
+    assert sim.sanitizer.stride == 8
 
 
 def _corrupting_cell(corrupt_at_tick, depth):

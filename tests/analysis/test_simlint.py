@@ -151,8 +151,8 @@ def test_text_and_json_formats():
     assert json.loads(format_violations([], fmt="json")) == []
 
 
-def test_cli_exit_codes(capsys):
-    assert cli_main(["lint", str(SRC)]) == 0
+def test_cli_exit_codes(capsys, src_lint_cache):
+    assert cli_main(["lint", str(SRC), "--cache", str(src_lint_cache)]) == 0
     for rule in CHECKED_RULES:
         number = rule[len("SIM"):]
         bad = str(FIXTURES / f"bad_sim{number}.py")

@@ -62,8 +62,10 @@ def test_every_snapshot_rule_is_registered():
     assert not group.default
 
 
-def test_repo_src_tree_is_clean_under_snapshots():
-    report = lint_project([SRC], baseline_path=None, snapshots=True)
+def test_repo_src_tree_is_clean_under_snapshots(src_lint_cache):
+    report = lint_project(
+        [SRC], baseline_path=None, snapshots=True, cache_path=src_lint_cache
+    )
     assert report.violations == []
 
 
@@ -249,13 +251,13 @@ def test_cli_rejects_bogus_selector(capsys):
     assert "BOGUS" in err and "groups:" in err
 
 
-def test_cli_src_tree_is_clean_under_snapshots(tmp_path):
+def test_cli_src_tree_is_clean_under_snapshots(src_lint_cache):
     rc = cli_main(
         [
             "lint", str(SRC), "--snapshots", "--no-baseline",
-            "--cache", str(tmp_path / "ast_index.pickle"),
+            "--cache", str(src_lint_cache),
         ]
     )
     assert rc == 0
     # The snapshots cache lands beside the AST index.
-    assert (tmp_path / "snapshots.json").exists()
+    assert (src_lint_cache.parent / "snapshots.json").exists()

@@ -62,8 +62,8 @@ def test_every_whole_program_rule_has_a_description():
         assert rule in ALL_RULES
 
 
-def test_repo_src_tree_is_clean_without_baseline():
-    report = lint_project([SRC], baseline_path=None)
+def test_repo_src_tree_is_clean_without_baseline(src_lint_cache):
+    report = lint_project([SRC], baseline_path=None, cache_path=src_lint_cache)
     assert report.violations == []
     assert report.file_count > 50
 

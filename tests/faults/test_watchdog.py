@@ -10,6 +10,7 @@ from repro.faults import FaultPlan, LossBurst, StuckIOError, StuckIOWatchdog
 from repro.faults.inject import FaultInjector
 from repro.net.topology import build_star
 from repro.nvme.ssq import SSQDriver
+from repro.profiling import InstrumentedSimulator
 from repro.sim.engine import Simulator
 from repro.sim.units import KIB, MS, US
 from repro.ssd.device import SSD
@@ -17,8 +18,8 @@ from repro.workloads.request import IORequest, OpType
 from tests.conftest import FAST_SSD
 
 
-def build_cell(*, lossy: bool):
-    sim = Simulator()
+def build_cell(*, lossy: bool, sim: Simulator | None = None):
+    sim = sim if sim is not None else Simulator()
     net = build_star(sim, ["init0", "tgt0"], rate_gbps=40.0, delay_ns=US)
     ssd = SSD(sim, FAST_SSD)
     Target(sim, net.hosts["tgt0"], [ssd], [SSQDriver(1, 1)])
@@ -46,6 +47,14 @@ def test_wedged_run_raises_at_quiescence():
     assert names == {"init0"}
     assert "never completed" in str(err)
     assert ini.outstanding() == 3
+
+
+def test_wedged_run_raises_under_the_profiler():
+    """``repro profile`` runs reach the quiescence watchdog too."""
+    sim, ini, _ = build_cell(lossy=True, sim=InstrumentedSimulator())
+    with pytest.raises(StuckIOError):
+        sim.run()
+    assert sim.profile().events_dispatched == sim.events_dispatched > 0
 
 
 def test_clean_run_stays_quiet():

@@ -24,9 +24,8 @@ Cells (all device-local replays, ``Simulator(trace=True)``):
 
 Requests are renumbered ``0..N-1`` in trace order so the completion log
 does not depend on how many requests the process created before.
-Callables without a ``__qualname__`` (the replay's arrival feed) log as
-their ``repr``, which carries a memory address; :func:`normalized_log`
-reduces those to the class name.
+Callable instances without a ``__qualname__`` (the replay's arrival
+feed) log as their class name (:func:`repro.profiling.site_label`).
 
 Re-baselining policy: the golden file may only be regenerated together
 with a written justification here, and only when the ``outputs`` and
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,7 +125,6 @@ CELLS: dict[str, dict] = {
 }
 
 _PRESETS = {"SSD-A": SSD_A, "SSD-B": SSD_B, "SSD-C": SSD_C}
-_ADDRESS = re.compile(r"^<([\w.]+) object at 0x[0-9a-f]+>$")
 
 
 class DeviceWorld:
@@ -149,8 +146,8 @@ def _stream(spec: tuple, address_sectors: int) -> MicroWorkloadConfig:
     )
 
 
-def build_cell(name: str) -> tuple[Simulator, DeviceWorld]:
-    """A traced simulator with the cell's arrivals and faults scheduled."""
+def build_cell(name: str, sim: Simulator | None = None) -> tuple[Simulator, DeviceWorld]:
+    """A simulator (traced by default) with the cell's arrivals and faults scheduled."""
     cell = CELLS[name]
     config = _PRESETS[cell["ssd"]].with_overrides(**cell["overrides"])
     raw = generate_micro_trace(
@@ -161,7 +158,7 @@ def build_cell(name: str) -> tuple[Simulator, DeviceWorld]:
         seed=cell["seed"],
     )
     trace = Trace([replace(req, req_id=i) for i, req in enumerate(raw)])
-    sim = Simulator(trace=True)
+    sim = sim if sim is not None else Simulator(trace=True)
     ssd = SSD(sim, config)
     if cell["driver"] == "ssq":
         driver = SSQDriver(*cell["weights"])
@@ -177,16 +174,8 @@ def build_cell(name: str) -> tuple[Simulator, DeviceWorld]:
     return sim, DeviceWorld(ssd, driver, trace)
 
 
-def normalized_log(dispatch_log: list[tuple[int, str]]) -> list[tuple[int, str]]:
-    out = []
-    for t, name in dispatch_log:
-        match = _ADDRESS.match(name)
-        out.append((t, match.group(1).rsplit(".", 1)[-1] if match else name))
-    return out
-
-
 def trace_sha(dispatch_log: list[tuple[int, str]]) -> str:
-    canonical = "\n".join(f"{t} {name}" for t, name in normalized_log(dispatch_log))
+    canonical = "\n".join(f"{t} {name}" for t, name in dispatch_log)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -227,7 +216,7 @@ def device_outputs(sim: Simulator, world: DeviceWorld) -> dict:
 
 
 def summarize(sim: Simulator, world: DeviceWorld) -> dict:
-    log = normalized_log(sim.dispatch_log)
+    log = sim.dispatch_log
     counts: dict[str, int] = {}
     for _, name in log:
         counts[name] = counts.get(name, 0) + 1
